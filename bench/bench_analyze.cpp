@@ -2,13 +2,14 @@
 // `analyze` CI leg enforces (tools/ci/check.sh, docs/STATIC_ANALYSIS.md
 // "Performance").
 //
-// Runs `analyze::analyze_tree` over the repo several times and records
-// min/mean/max wall seconds plus what the run saw: files/functions
-// indexed, static lock edges, effect-table sizes (may-block /
-// reads-clock function counts) and per-rule finding counts *before*
-// baseline suppression (the baseline is a reporting concern; the rules'
-// raw output is what costs time). The JSON blob is checked in as
-// BENCH_analyze.json.
+// Runs `analyze::analyze_tree` (both stages: per-file rules over every
+// source file, semantic rules over the index) over the repo several times
+// and records min/mean/max wall seconds plus what the run saw:
+// files/functions indexed, static lock edges, effect-table sizes
+// (may-block / reads-clock function counts) and per-rule finding counts,
+// for every id in the rule catalogue, *before* baseline suppression (the
+// baseline is a reporting concern; the rules' raw output is what costs
+// time). The JSON blob is checked in as BENCH_analyze.json.
 //
 // Acceptance gates (exit non-zero on miss):
 //  1. Budget: every run completes inside the 10s wall-time budget.
@@ -36,14 +37,9 @@ namespace {
 constexpr int kRuns = 5;
 constexpr double kBudgetSeconds = 10.0;
 
-// Full rule catalogue, so zero-count rules still appear in the JSON and
+// The full rule catalogue, so zero-count rules still appear in the JSON and
 // a rule rename shows up as a count moving between keys.
-const char* const kRules[] = {
-    "lock-order",           "guarded-by",
-    "hot-path-alloc-transitive", "unchecked-status",
-    "blocking-under-lock",  "time-source-purity",
-    "unchecked-posix-io",   "stale-baseline",
-};
+constexpr const auto& kRules = darnet::analyze::kRuleCatalogue;
 
 }  // namespace
 
@@ -61,7 +57,7 @@ int main(int argc, char** argv) {
     wall_s.push_back(std::chrono::duration<double>(t1 - t0).count());
 
     std::map<std::string, int> run_counts;
-    for (const char* rule : kRules) run_counts[rule] = 0;
+    for (const auto& rule : kRules) run_counts[std::string(rule.name)] = 0;
     for (const auto& f : res.findings) ++run_counts[f.rule];
     if (run == 0) {
       counts = run_counts;
@@ -107,8 +103,9 @@ int main(int argc, char** argv) {
   json += buf;
   json += "  \"findings_per_rule\": {\n";
   for (std::size_t i = 0; i < std::size(kRules); ++i) {
-    std::snprintf(buf, sizeof(buf), "    \"%s\": %d%s\n", kRules[i],
-                  counts[kRules[i]], i + 1 < std::size(kRules) ? "," : "");
+    const std::string name(kRules[i].name);
+    std::snprintf(buf, sizeof(buf), "    \"%s\": %d%s\n", name.c_str(),
+                  counts[name], i + 1 < std::size(kRules) ? "," : "");
     json += buf;
   }
   json += "  }\n}\n";

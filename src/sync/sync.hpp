@@ -35,7 +35,7 @@
 // Annotation macros: DARNET_GUARDED_BY(mu) tags a member as protected by a
 // mutex, DARNET_ATOMIC tags intentionally lock-free members, and
 // DARNET_THREAD_LOCAL tags thread-confined members.  They expand to nothing
-// on every compiler -- the contract is enforced by darnet_lint
+// on every compiler -- the contract is enforced by darnet_analyze
 // (sync-guarded-by), not the compiler, so the annotations can never bit-rot
 // into semantic changes.
 
@@ -46,7 +46,7 @@
 #include <string>
 #include <vector>
 
-// Lint-level annotations (machine-checked by darnet_lint sync-guarded-by).
+// Annotations machine-checked by darnet_analyze (sync-guarded-by).
 #define DARNET_GUARDED_BY(mu)
 #define DARNET_ATOMIC
 #define DARNET_THREAD_LOCAL

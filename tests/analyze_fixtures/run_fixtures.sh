@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# darnet_analyze self-test: one minimal pass/fail mini-tree per analyzer rule.
+# darnet_analyze self-test: one minimal pass/fail mini-tree per rule.
 #
 # Layout: tests/analyze_fixtures/<rule>/{pass,fail}/ -- each mode directory
-# is a complete analysis root (it contains src/, and its own
+# is a complete analysis root (it contains src/, docs/OBSERVABILITY.md or
+# docs/SIMULATION.md where a doc-contract rule needs one, and its own
 # tools/analyze/analyze_baseline.json where the rule exercises baseline
-# handling). A fail tree must make darnet_analyze exit 1 with at least one
-# finding tagged [<rule>] carrying file:line attribution; a pass tree must
-# analyze completely clean. This pins down every rule's trigger *and* its
+# handling). Every <rule> must be an id in `darnet_analyze --list`. A fail
+# tree must make darnet_analyze exit 1 with at least one finding tagged
+# [<rule>] carrying file:line attribution; a pass tree must analyze clean
+# under every rule. This pins down every rule's trigger *and* its
 # sanctioned alternative, so analyzer refactors cannot silently widen or
 # narrow a rule.
 #
 # A mode directory may also carry an expect.grep file: every non-empty line
 # must appear verbatim (fixed-string grep) in the analyzer output. This pins
-# exact message contracts, e.g. that stale-baseline reports the copy-paste
+# exact message contracts, e.g. the `file:line: [rule] message` line of
+# each fail tree, or that stale-baseline reports the copy-paste
 # (rule, file, symbol) entry key.
 #
 # Usage: run_fixtures.sh <darnet_analyze-binary> <fixtures-dir>
@@ -26,12 +29,17 @@ if [ ! -x "$ANALYZE" ]; then
   exit 2
 fi
 
+rules="$("$ANALYZE" --list | awk '{print $1}')"
 failures=0
 cases=0
 
 for rule_dir in "$FIXTURES"/*/; do
   [ -d "$rule_dir" ] || continue
   rule="$(basename "$rule_dir")"
+  if ! printf '%s\n' "$rules" | grep -qxF -- "$rule"; then
+    echo "FIXTURE FAIL: $rule is not a rule id in darnet_analyze --list" >&2
+    failures=$((failures + 1))
+  fi
   for mode in pass fail; do
     root="$rule_dir$mode"
     [ -d "$root" ] || continue

@@ -127,6 +127,21 @@ TEST(AnalyzeLexer, DirectivesAndIncludesRecordedOutOfBand) {
   EXPECT_EQ(lexed.directives[2].rest, "FOO 1");
 }
 
+TEST(AnalyzeLexer, CommentsRecordedOutOfBand) {
+  const auto lexed = analyze::lex(
+      "int a; // REQUIRES: mu held\n"
+      "/* two\nlines */ int b;\n"
+      "#if 0\n// hidden\n#endif\n",
+      "t.cpp");
+  ASSERT_EQ(lexed.comments.size(), 2u);  // #if 0 comments are skipped
+  EXPECT_EQ(lexed.comments[0].text, " REQUIRES: mu held");
+  EXPECT_EQ(lexed.comments[0].line, 1);
+  EXPECT_EQ(lexed.comments[0].next_tok, 3u);  // `int` of `int b;`
+  EXPECT_EQ(lexed.comments[1].text, " two\nlines ");
+  EXPECT_EQ(lexed.comments[1].line, 2);
+  EXPECT_EQ(lexed.comments[1].next_tok, 3u);
+}
+
 TEST(AnalyzeIndex, ClassMembersLocksAndCalls) {
   const char* src = R"cpp(
 namespace fix {

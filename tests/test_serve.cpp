@@ -3,7 +3,7 @@
 // shed policy, per-request deadlines, graceful drain, and the degraded-mode
 // watermark hysteresis. Runs under the tsan leg.
 //
-// Note: std::thread is banned outside src/parallel (darnet_lint
+// Note: std::thread is banned outside src/parallel (darnet_analyze
 // thread-outside-parallel), so concurrency here is exercised through the
 // Server's own workers, gated by condition variables inside stub models.
 #include <gtest/gtest.h>

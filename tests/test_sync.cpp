@@ -15,7 +15,7 @@
 //     reuse/destruction after a throwing region, exercising the
 //     swap-then-join discipline (no lock held across join/notify).
 //
-// std::thread is banned outside src/parallel (darnet_lint
+// std::thread is banned outside src/parallel (darnet_analyze
 // thread-outside-parallel); cross-thread scenarios use
 // parallel::ServiceThread and the serve tier's own workers.
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 // darnet_analyze findings, reporting, and the baseline/suppression file.
 //
-// Output contract (shared with darnet_lint so run_fixtures.sh and humans read
-// both the same way): one finding per line on stderr,
+// Output contract (run_fixtures.sh and humans read it the same way): one
+// finding per line on stderr,
 //     <file>:<line>: [<rule>] <message>
 // exit 1 when findings remain, 0 when clean, 2 on usage/IO errors.
 //

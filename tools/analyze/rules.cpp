@@ -14,9 +14,26 @@ namespace {
 
 namespace fs = std::filesystem;
 
-bool under_any(const std::string& file, const std::vector<std::string>& prefixes) {
-  for (const auto& p : prefixes) {
-    if (file.rfind(p, 0) == 0) return true;
+// Scope. The per-file stage sees every C++ file under kSourceDirs except the
+// fixture trees; the semantic stage indexes the kIndexDirs subset.
+constexpr std::string_view kSourceDirs[] = {"src", "tests", "bench",
+                                            "examples", "tools"};
+constexpr std::string_view kIndexDirs[] = {"src/", "tools/", "examples/"};
+// Deliberately-broken fixture trees, exercised one by one by their runner.
+constexpr std::string_view kFixtureDir = "tests/analyze_fixtures/";
+// Semantic rules report only under src/: test_sync contains deliberate lock
+// inversions (death tests) and gtest macros defeat the approximate parser.
+// unchecked-status also covers the public API surface in examples/, and
+// unchecked-posix-io only the directory where raw POSIX sockets/fds live.
+constexpr std::string_view kRuleDirs[] = {"src/"};
+constexpr std::string_view kStatusRuleDirs[] = {"src/", "examples/"};
+constexpr std::string_view kPosixIoDirs[] = {"src/http/"};
+
+template <size_t N>
+bool under_any(const std::string& file,
+               const std::string_view (&prefixes)[N]) {
+  for (const std::string_view p : prefixes) {
+    if (file.starts_with(p)) return true;
   }
   return false;
 }
@@ -38,12 +55,18 @@ const std::set<std::string>& declared_leaves() {
   return leaves;
 }
 
-// hot-path-alloc-transitive exemption registry. Entries match either a
-// "Class::function" / "function" symbol or a file-path prefix (trailing '/').
-// Every entry carries the reviewed reason it is allowed to allocate while
-// reachable from the hot path.
+// The hot-path allocation exemption registry, shared by hot-path-alloc (the
+// float/double vector ban in hot-path directories) and
+// hot-path-alloc-transitive (reachability from the hot roots). An entry is
+//  - a directory prefix (trailing '/'): exempt from both rules;
+//  - one file: exempt from the directory ban only. Reachability is still
+//    checked there, because a training file can host a function the hot
+//    path calls (trainer.cpp's predict_logits is one);
+//  - a "Class::function" / "function" symbol: exempt from reachability.
+// Every entry carries its reviewed reason. The registry is the rules' only
+// escape hatch (there is no inline suppression comment).
 struct HotPathExempt {
-  std::string_view match;  // symbol or path prefix
+  std::string_view match;
   std::string_view reason;
 };
 constexpr HotPathExempt kHotPathAllocExempt[] = {
@@ -52,10 +75,24 @@ constexpr HotPathExempt kHotPathAllocExempt[] = {
      "primitives with no graph bookkeeping"},
     {"src/check/",
      "DARNET_CHECKED diagnostics; compiled to unevaluated no-ops when off"},
+    {"src/nn/trainer.cpp",
+     "training-only float vectors: per-epoch shard loss accumulators, "
+     "allocated once per fit() epoch, never under classify_batch"},
+    {"src/nn/metrics.hpp",
+     "offline eval API: topk_accuracy takes caller-owned score vectors; only "
+     "tests and the training loop call it"},
+    {"src/nn/metrics.cpp",
+     "offline eval API: topk_accuracy takes caller-owned score vectors; only "
+     "tests and the training loop call it"},
     {"Sequential::verify_boundary",
      "entire function is #ifdef DARNET_CHECKED contract diagnostics; absent "
      "from release builds"},
 };
+
+bool is_dir_entry(std::string_view m) { return m.ends_with('/'); }
+bool is_file_entry(std::string_view m) {
+  return !is_dir_entry(m) && m.find('/') != std::string_view::npos;
+}
 
 struct Resolver {
   const Index& idx;
@@ -362,8 +399,7 @@ std::map<FnId, Effects> compute_effects(const Index& idx) {
 // Rule 1: static lock-order extraction.
 // ---------------------------------------------------------------------------
 
-void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<LockEdge>& edges,
+void rule_lock_order(const Index& idx, std::vector<LockEdge>& edges,
                      std::vector<Finding>& findings) {
   Resolver R{idx};
 
@@ -405,7 +441,7 @@ void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
 
   for (size_t fi = 0; fi < idx.files.size(); ++fi) {
     const FileIndex& fx = idx.files[fi];
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRuleDirs)) continue;
     for (size_t gi = 0; gi < fx.functions.size(); ++gi) {
       const FunctionInfo& F = fx.functions[gi];
       for (const auto& outer : F.locks) {
@@ -510,8 +546,7 @@ void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
 // Rule 2: guarded-by access checking.
 // ---------------------------------------------------------------------------
 
-void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<Finding>& findings) {
+void rule_guarded_by(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   // guarded member name -> owning classes (name collisions across classes are
   // disambiguated through the receiver / enclosing class below).
@@ -525,7 +560,7 @@ void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
   if (guarded.empty()) return;
 
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRuleDirs)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       if (F.ctor_dtor) continue;  // exclusive access during construction
@@ -594,16 +629,14 @@ void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
 
 namespace {
 
-bool hot_path_exempt(const FunctionInfo& F, std::string* reason) {
-  std::string sym = symbol_of(F);
+bool hot_path_exempt(const FunctionInfo& F) {
+  const std::string sym = symbol_of(F);
   for (const auto& e : kHotPathAllocExempt) {
-    std::string m(e.match);
-    bool hit = (!m.empty() && m.back() == '/') ? F.file.rfind(m, 0) == 0
-                                               : (sym == m || F.name == m);
-    if (hit) {
-      if (reason) *reason = std::string(e.reason);
-      return true;
-    }
+    if (is_file_entry(e.match)) continue;  // directory ban only
+    const bool hit = is_dir_entry(e.match)
+                         ? F.file.starts_with(e.match)
+                         : (sym == e.match || F.name == e.match);
+    if (hit) return true;
   }
   return false;
 }
@@ -617,8 +650,15 @@ const std::set<std::string>& growth_calls() {
 
 }  // namespace
 
-void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
-                         std::vector<Finding>& findings) {
+bool hot_path_alloc_exempt_file(const std::string& file) {
+  for (const auto& e : kHotPathAllocExempt) {
+    if (is_dir_entry(e.match) ? file.starts_with(e.match) : file == e.match)
+      return true;
+  }
+  return false;
+}
+
+void rule_hot_path_alloc(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   static const std::set<std::string> kRoots = {
       "classify_batch", "classify_batch_degraded", "worker_loop",
@@ -632,7 +672,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
     if (!kRoots.count(name)) continue;
     for (FnId id : ids) {
       const FunctionInfo& F = idx.fn(id);
-      if (!under_any(F.file, opts.rule_prefixes)) continue;
+      if (!under_any(F.file, kRuleDirs)) continue;
       if (!parent.count(id)) {
         parent[id] = {id, symbol_of(F)};
         queue.push_back(id);
@@ -643,11 +683,11 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
     FnId id = queue.front();
     queue.pop_front();
     const FunctionInfo& F = idx.fn(id);
-    if (hot_path_exempt(F, nullptr)) continue;  // don't look inside
+    if (hot_path_exempt(F)) continue;  // don't look inside
     for (const auto& c : F.calls) {
       for (FnId g : R.loose(F, c)) {
         const FunctionInfo& G = idx.fn(g);
-        if (!under_any(G.file, opts.rule_prefixes)) continue;
+        if (!under_any(G.file, kRuleDirs)) continue;
         if (parent.count(g)) continue;
         parent[g] = {id, parent[id].second};
         queue.push_back(g);
@@ -674,7 +714,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
 
   for (const auto& [id, link] : parent) {
     const FunctionInfo& F = idx.fn(id);
-    if (hot_path_exempt(F, nullptr)) continue;
+    if (hot_path_exempt(F)) continue;
     for (const auto& a : F.allocs) {
       findings.push_back(Finding{
           "hot-path-alloc-transitive", F.file, a.line, symbol_of(F),
@@ -697,8 +737,7 @@ void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
 // Rule 4: unchecked Admit/Status return values.
 // ---------------------------------------------------------------------------
 
-void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
-                           std::vector<Finding>& findings) {
+void rule_unchecked_status(const Index& idx, std::vector<Finding>& findings) {
   Resolver R{idx};
   // In-tree functions whose return type mentions Admit or Status.
   std::set<std::string> status_names;
@@ -715,7 +754,7 @@ void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
   if (status_names.empty()) return;
 
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.status_rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kStatusRuleDirs)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       for (const auto& c : F.calls) {
@@ -799,14 +838,14 @@ std::string tier_suffix(bool tier0) {
 
 }  // namespace
 
-void rule_blocking_under_lock(const Index& idx, const AnalysisOptions& opts,
+void rule_blocking_under_lock(const Index& idx,
                               const std::map<FnId, Effects>& effects,
                               std::vector<Finding>& findings) {
   Resolver R{idx};
   static const std::set<std::string> kWaits = {"wait", "wait_for",
                                                "wait_until"};
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRuleDirs)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       const bool exempt_fn = blocking_exempt(F);
@@ -899,10 +938,9 @@ bool time_seam(const FunctionInfo& F) {
 
 }  // namespace
 
-void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
-                             std::vector<Finding>& findings) {
+void rule_time_source_purity(const Index& idx, std::vector<Finding>& findings) {
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.rule_prefixes)) continue;
+    if (!under_any(fx.lex.path, kRuleDirs)) continue;
     for (const auto& F : fx.functions) {
       if (time_seam(F)) continue;
       for (const auto& c : F.calls) {
@@ -922,12 +960,11 @@ void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
 // Rule 7: unchecked POSIX I/O status.
 // ---------------------------------------------------------------------------
 
-void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
-                             std::vector<Finding>& findings) {
+void rule_unchecked_posix_io(const Index& idx, std::vector<Finding>& findings) {
   static const std::set<std::string> kPosix = {"send", "recv", "accept",
                                                "close"};
   for (const auto& fx : idx.files) {
-    if (!under_any(fx.lex.path, opts.posix_io_prefixes)) continue;
+    if (!under_any(fx.lex.path, kPosixIoDirs)) continue;
     const auto& T = fx.lex.tokens;
     for (const auto& F : fx.functions) {
       for (const auto& c : F.calls) {
@@ -957,43 +994,56 @@ void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
 // Driver.
 // ---------------------------------------------------------------------------
 
-AnalysisResult analyze_tree(const fs::path& root, const AnalysisOptions& opts) {
+AnalysisResult analyze_tree(const fs::path& root) {
   AnalysisResult res;
-  Index idx;
   std::vector<fs::path> files;
-  for (const auto& dir : opts.index_dirs) {
-    fs::path d = root / dir;
+  for (const std::string_view dir : kSourceDirs) {
+    const fs::path d = root / dir;
     if (!fs::exists(d)) continue;
     for (const auto& ent : fs::recursive_directory_iterator(d)) {
       if (!ent.is_regular_file()) continue;
-      auto ext = ent.path().extension().string();
+      const auto ext = ent.path().extension();
       if (ext != ".hpp" && ext != ".cpp" && ext != ".h" && ext != ".cc")
         continue;
       files.push_back(ent.path());
     }
   }
   std::sort(files.begin(), files.end());
+
+  // One read and one lex per file: the per-file stage sees every file, the
+  // index only the semantic scope.
+  Index idx;
+  ContractUses uses;
   for (const auto& p : files) {
     std::string rel = fs::relative(p, root).generic_string();
-    if (under_any(rel, opts.skip_prefixes)) continue;
+    if (rel.starts_with(kFixtureDir)) continue;
     std::ifstream in(p, std::ios::binary);
+    if (!in) {
+      res.findings.push_back(
+          Finding{"io-error", std::move(rel), 0, "", "cannot open file"});
+      continue;
+    }
     std::ostringstream ss;
     ss << in.rdbuf();
-    index_file(idx, lex(ss.str(), rel));
+    LexedFile lexed = lex(ss.str(), rel);
+    rule_file(lexed, uses, res.findings);
+    if (under_any(rel, kIndexDirs)) index_file(idx, std::move(lexed));
   }
+  rule_doc_contracts(root, uses, res.findings);
+
   res.files_indexed = static_cast<int>(idx.files.size());
   for (const auto& fx : idx.files)
     res.functions_indexed += static_cast<int>(fx.functions.size());
 
-  rule_lock_order(idx, opts, res.lock_edges, res.findings);
-  rule_guarded_by(idx, opts, res.findings);
-  rule_hot_path_alloc(idx, opts, res.findings);
-  rule_unchecked_status(idx, opts, res.findings);
+  rule_lock_order(idx, res.lock_edges, res.findings);
+  rule_guarded_by(idx, res.findings);
+  rule_hot_path_alloc(idx, res.findings);
+  rule_unchecked_status(idx, res.findings);
 
   const std::map<FnId, Effects> effects = compute_effects(idx);
-  rule_blocking_under_lock(idx, opts, effects, res.findings);
-  rule_time_source_purity(idx, opts, res.findings);
-  rule_unchecked_posix_io(idx, opts, res.findings);
+  rule_blocking_under_lock(idx, effects, res.findings);
+  rule_time_source_purity(idx, res.findings);
+  rule_unchecked_posix_io(idx, res.findings);
 
   for (const auto& [id, e] : effects) {
     if (!e.may_block && !e.reads_clock) continue;

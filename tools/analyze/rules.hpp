@@ -1,36 +1,19 @@
-// darnet_analyze semantic rules over the symbol index.
+// darnet_analyze rules, in two stages over one lexer pass per file:
+//  - the per-file stage (file_rules.cpp) checks token-level conventions in
+//    each file on its own, plus the two doc contracts that need every
+//    file's names collected first;
+//  - the semantic stage (this file's rule_* functions, rules.cpp) runs over
+//    the cross-file symbol index.
 //
-// Rule catalogue (names are stable; fixture dirs and baseline entries key on
-// them — see docs/STATIC_ANALYSIS.md):
-//   lock-order                static mutex acquisition-order extraction;
-//                             flags cycles, edges against the documented
-//                             hierarchy, and edges out of declared leaves.
-//   guarded-by                access to a DARNET_GUARDED_BY(mu) member with
-//                             no live sync::Lock on mu and no dominating
-//                             DARNET_ASSERT_HELD(mu).
-//   hot-path-alloc-transitive call-graph reachability from the inference hot
-//                             path roots to an allocating construct not in
-//                             the exemption registry.
-//   unchecked-status          a call to an in-tree Admit/Status-returning
-//                             function used as a bare discarded statement.
-//   blocking-under-lock       interprocedural: a call that may block (CondVar
-//                             wait, socket send/recv/accept, future::get,
-//                             sleep, thread join) is reachable while a
-//                             sync::Lock/UniqueLock scope is live. route/*
-//                             mutexes are block-free tier (no exemptions).
-//   time-source-purity        a direct std::chrono::{steady,system}_clock
-//                             ::now() read outside the whitelisted seams
-//                             (serve::TimeSource impls, obs epoch, Stopwatch,
-//                             checked-build sync watchdogs).
-//   unchecked-posix-io        ssize_t/fd return of ::send/::recv/::accept/
-//                             ::close discarded as a bare statement in
-//                             src/http.
-//   stale-baseline            (from report.cpp) suppression matching nothing.
+// kRuleCatalogue is the one list of rule ids. Ids are stable: fixture dirs
+// (tests/analyze_fixtures/<rule>/) and baseline entries key on them, and
+// docs/STATIC_ANALYSIS.md documents each rule.
 #pragma once
 
 #include <filesystem>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,6 +21,42 @@
 #include "tools/analyze/report.hpp"
 
 namespace darnet::analyze {
+
+// The rule catalogue printed by --list and counted by bench_analyze.
+struct RuleInfo {
+  std::string_view name;
+  std::string_view what;
+};
+inline constexpr RuleInfo kRuleCatalogue[] = {
+    // Per-file stage.
+    {"pragma-once", "every header opens with #pragma once"},
+    {"raw-new", "manual new outside the make_unique/make_shared idiom"},
+    {"raw-delete", "manual delete (ownership must be scoped)"},
+    {"thread-outside-parallel", "std::thread anywhere but src/parallel/"},
+    {"unseeded-rng", "default-seeded random engine"},
+    {"hot-path-io", "console I/O inside the numeric hot-path dirs"},
+    {"hot-path-alloc", "float/double vector in a hot-path directory"},
+    {"serve-bounded-queue", "queue push with no capacity check nearby"},
+    {"sync-raw-primitive", "raw std primitives outside src/sync/"},
+    {"sync-guarded-by", "lock-owning member without DARNET_GUARDED_BY"},
+    {"sync-assert-held", "REQUIRES comment without DARNET_ASSERT_HELD"},
+    {"engine-deprecated-shim", "any DARNET_ALLOW_DEPRECATED* gate token"},
+    {"obs-name-literal", "metric name off the segment/charset grammar"},
+    {"obs-doc-missing", "metric with no docs/OBSERVABILITY.md row"},
+    {"obs-doc-stale", "documented metric no longer in the code"},
+    {"sim-doc-missing", "scenario with no docs/SIMULATION.md row"},
+    {"sim-doc-stale", "documented scenario no longer registered"},
+    {"io-error", "a source file the analyzer could not read"},
+    // Semantic stage, then the baseline check (report.cpp).
+    {"lock-order", "mutex acquisition-order cycles / hierarchy breaks"},
+    {"guarded-by", "guarded member touched without its lock held"},
+    {"hot-path-alloc-transitive", "allocation reachable from hot roots"},
+    {"unchecked-status", "Admit/Status result discarded as a statement"},
+    {"blocking-under-lock", "may-block call reachable under a sync::Lock"},
+    {"time-source-purity", "wall-clock read outside whitelisted seams"},
+    {"unchecked-posix-io", "::send/recv/accept/close status discarded"},
+    {"stale-baseline", "baseline suppression matching nothing"},
+};
 
 // (file_id, function index) — identifies a FunctionInfo in an Index.
 using FnId = std::pair<int, int>;
@@ -69,22 +88,6 @@ struct LockEdge {
   std::string via;   // function whose body holds the outer lock
 };
 
-struct AnalysisOptions {
-  // Directories under the root to lex+index (repo-relative).
-  std::vector<std::string> index_dirs = {"src", "tools", "examples"};
-  // Path prefixes to skip entirely (deliberately-broken fixture trees).
-  std::vector<std::string> skip_prefixes = {"tests/lint_fixtures/",
-                                            "tests/analyze_fixtures/"};
-  // Semantic rules run only on files under these prefixes. Tests and bench
-  // stay out of scope: test_sync contains deliberate lock inversions (death
-  // tests) and gtest macros defeat the approximate parser.
-  std::vector<std::string> rule_prefixes = {"src/"};
-  // unchecked-status additionally covers examples/ (the public API surface).
-  std::vector<std::string> status_rule_prefixes = {"src/", "examples/"};
-  // unchecked-posix-io runs only where raw POSIX sockets/fds live.
-  std::vector<std::string> posix_io_prefixes = {"src/http/"};
-};
-
 // One function's computed effects, flattened for --dump-effects and tests.
 struct EffectEntry {
   std::string symbol;  // "Class::function" or "function"
@@ -104,26 +107,45 @@ struct AnalysisResult {
   int functions_indexed = 0;
 };
 
-// Lex + index + run every rule over the repo at `root`.
-AnalysisResult analyze_tree(const std::filesystem::path& root,
-                            const AnalysisOptions& opts = {});
+// Lex every source file of the repo at `root` once, run the per-file stage
+// on each, then index the semantic-scope files and run every semantic rule.
+AnalysisResult analyze_tree(const std::filesystem::path& root);
 
-// Individual rule entry points (exposed for tests).
-void rule_lock_order(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<LockEdge>& edges,
+// A metric/span or scenario name the per-file stage saw registered.
+struct NameUse {
+  std::string name;
+  std::string file;
+  int line = 0;
+};
+struct ContractUses {
+  std::vector<NameUse> metrics;    // DARNET_* obs macros, registry() calls
+  std::vector<NameUse> scenarios;  // register_scenario("name", ...) calls
+};
+
+// Per-file stage: every per-file rule over one lexed file. Names that the
+// doc contracts check are appended to `uses`.
+void rule_file(const LexedFile& lexed, ContractUses& uses,
+               std::vector<Finding>& findings);
+// The doc contracts, both ways: `uses` against the tables in
+// docs/OBSERVABILITY.md and docs/SIMULATION.md under `root`.
+void rule_doc_contracts(const std::filesystem::path& root,
+                        const ContractUses& uses,
+                        std::vector<Finding>& findings);
+
+// True when a path entry of the hot-path exemption registry (rules.cpp)
+// exempts `file` from the hot-path-alloc directory ban.
+bool hot_path_alloc_exempt_file(const std::string& file);
+
+// Semantic rule entry points (exposed for tests).
+void rule_lock_order(const Index& idx, std::vector<LockEdge>& edges,
                      std::vector<Finding>& findings);
-void rule_guarded_by(const Index& idx, const AnalysisOptions& opts,
-                     std::vector<Finding>& findings);
-void rule_hot_path_alloc(const Index& idx, const AnalysisOptions& opts,
-                         std::vector<Finding>& findings);
-void rule_unchecked_status(const Index& idx, const AnalysisOptions& opts,
-                           std::vector<Finding>& findings);
-void rule_blocking_under_lock(const Index& idx, const AnalysisOptions& opts,
+void rule_guarded_by(const Index& idx, std::vector<Finding>& findings);
+void rule_hot_path_alloc(const Index& idx, std::vector<Finding>& findings);
+void rule_unchecked_status(const Index& idx, std::vector<Finding>& findings);
+void rule_blocking_under_lock(const Index& idx,
                               const std::map<FnId, Effects>& effects,
                               std::vector<Finding>& findings);
-void rule_time_source_purity(const Index& idx, const AnalysisOptions& opts,
-                             std::vector<Finding>& findings);
-void rule_unchecked_posix_io(const Index& idx, const AnalysisOptions& opts,
-                             std::vector<Finding>& findings);
+void rule_time_source_purity(const Index& idx, std::vector<Finding>& findings);
+void rule_unchecked_posix_io(const Index& idx, std::vector<Finding>& findings);
 
 }  // namespace darnet::analyze

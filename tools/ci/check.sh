@@ -2,30 +2,28 @@
 # tools/ci/check.sh -- build and test the full correctness matrix.
 #
 # Legs (each: configure + build + ctest, warnings-as-errors everywhere):
-#   default  Release, invariants compiled out (the shipping configuration)
+#   default  Release, invariants compiled out, observability on (the
+#            shipping configuration; includes test_obs). `obs` is accepted
+#            as an alias: DARNET_OBS defaults ON, so a separate Release +
+#            OBS leg would build and test exactly the same tree.
 #   checked  Release + DARNET_CHECKED=ON (invariants active at full speed)
 #   asan     Debug + AddressSanitizer  (checked: Debug defaults CHECKED=ON)
 #   ubsan    Debug + UndefinedBehaviorSanitizer, -fno-sanitize-recover
 #   tsan     Debug + ThreadSanitizer (the parallel:: subsystem gate)
-#   obs      Release + DARNET_OBS=ON explicit (metrics/trace instrumentation
-#            active; includes test_obs and the darnet_lint docs-drift check
-#            that every registered metric/span name matches
-#            docs/OBSERVABILITY.md)
 #   obs-off  Release + DARNET_OBS=OFF (macros compile to unevaluated no-ops;
 #            proves the tree builds and all tests -- including the bit-parity
 #            goldens -- pass without the instrumentation)
-#   serve    serving-tier smoke: build examples/serve_demo (Release,
-#            observability on) and run it with DARNET_OBS_DUMP set,
-#            asserting it exits 0 and writes a non-empty metrics.json --
-#            the end-to-end proof that the serve/* instrumentation flows
-#   sim-smoke
-#            fleet-simulator smoke: build tools/sim/fleet_simulator
-#            (Release, observability on) and run the steady scenario at
-#            100 sessions with DARNET_OBS_DUMP set, asserting exit 0, a
-#            non-empty deterministic metrics export, and sim/* + serve/*
-#            names in the registry snapshot -- the end-to-end proof that
-#            the simulated fleet drives the production serving stack
-#            (docs/SIMULATION.md)
+#   serve, sim-smoke, http-smoke
+#            end-to-end smokes, one row each in the SMOKES table below.
+#            Each builds one target in a shared Release + observability
+#            directory, runs it with DARNET_OBS_DUMP set and greps its
+#            outputs for required names:
+#              serve       examples/serve_demo; serve/* metrics flow
+#              sim-smoke   tools/sim/fleet_simulator, steady scenario at
+#                          100 sessions; a latency_ms export and sim/* +
+#                          serve/* metrics (docs/SIMULATION.md)
+#              http-smoke  examples/http_demo over real loopback TCP; its
+#                          /metrics body carries http/* and route/* rows
 #   sync-stress
 #            concurrency-correctness stress: Debug + ThreadSanitizer with
 #            DARNET_CHECKED=ON explicit, building only the lock-heavy
@@ -33,7 +31,8 @@
 #            them until-fail:2 -- the lock-order graph, held-lock stack
 #            and CV watchdog run under tsan at the same time
 #   analyze  static-analysis gate: build darnet_analyze alone (Release)
-#            and run it over the tree in --format=json mode. The leg is
+#            and run it over the tree in --format=json mode (every rule:
+#            the per-file stage and the semantic stage). The leg is
 #            green only when the analyzer reports zero non-baselined
 #            findings; a baseline suppression whose finding has been fixed
 #            trips the stale-baseline rule and turns the leg red, so the
@@ -56,6 +55,9 @@
 #            scales recorded in EXPERIMENTS.md, so smoke accepts exit 0
 #            (gate met) or 1 (gate missed at smoke scale) and fails on
 #            anything else -- crashes, sanity aborts (exit >= 2), signals.
+#            bench_serve and bench_shard report hard-gate failures (a
+#            dropped request, a broken hot swap) as exit 2, so those fail
+#            the leg too.
 #
 # Usage:
 #   tools/ci/check.sh                # run every leg
@@ -73,12 +75,20 @@ ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 JOBS="${JOBS:-$(nproc)}"
 BUILD_ROOT="${BUILD_ROOT:-${ROOT}/build-matrix}"
 
-ALL_LEGS=(default checked asan ubsan tsan obs obs-off serve sim-smoke
+ALL_LEGS=(default checked asan ubsan tsan obs-off serve sim-smoke
           http-smoke sync-stress analyze bench-smoke)
-LEGS=("$@")
-if [ "${#LEGS[@]}" -eq 0 ]; then
-  LEGS=("${ALL_LEGS[@]}")
+if [ "$#" -eq 0 ]; then
+  set -- "${ALL_LEGS[@]}"
 fi
+# `obs` is an alias of `default`; each leg runs once however it is named.
+LEGS=()
+declare -A REQUESTED
+for leg in "$@"; do
+  [ "${leg}" = obs ] && leg=default
+  [ -n "${REQUESTED[${leg}]:-}" ] && continue
+  REQUESTED["${leg}"]=1
+  LEGS+=("${leg}")
+done
 
 FAILED=()
 PASSED=()
@@ -113,140 +123,65 @@ run_leg() {
   return 0
 }
 
-# Serving-tier smoke leg: no ctest run -- build serve_demo in a Release +
-# observability configuration, run it with DARNET_OBS_DUMP, and assert the
-# demo succeeds and the metrics snapshot it dumps is non-empty.
-run_serve_smoke() {
-  leg_dir="${BUILD_ROOT}/serve"
-  echo
-  echo "=== [serve] configure ==="
-  if ! cmake -B "${leg_dir}" -S "${ROOT}" -DDARNET_WERROR=ON \
-       -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=ON; then
-    FAILED+=("serve (configure)")
-    return 1
-  fi
-  echo "=== [serve] build serve_demo (-j${JOBS}) ==="
-  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target serve_demo; then
-    FAILED+=("serve (build)")
-    return 1
-  fi
-  echo "=== [serve] smoke ==="
-  obs_dir="$(mktemp -d)"
-  if ! DARNET_OBS_DUMP="${obs_dir}" "${leg_dir}/examples/serve_demo"; then
-    echo "serve_demo exited nonzero" >&2
-    rm -rf "${obs_dir}"
-    FAILED+=("serve (smoke)")
-    return 1
-  fi
-  if ! [ -s "${obs_dir}/metrics.json" ]; then
-    echo "serve_demo did not write a non-empty ${obs_dir}/metrics.json" >&2
-    rm -rf "${obs_dir}"
-    FAILED+=("serve (smoke: metrics.json)")
-    return 1
-  fi
-  if ! grep -q 'serve/' "${obs_dir}/metrics.json"; then
-    echo "metrics.json contains no serve/* names" >&2
-    rm -rf "${obs_dir}"
-    FAILED+=("serve (smoke: serve/* metrics)")
-    return 1
-  fi
-  rm -rf "${obs_dir}"
-  PASSED+=("serve")
-  return 0
-}
+# Smoke table: leg|build target|command|required checks. In the command,
+# @BIN@ is the shared build directory and @OUT@ a scratch directory that is
+# also exported as DARNET_OBS_DUMP. Each check is file:pattern, with the
+# file relative to @OUT@; out.log holds the command's stdout and stderr.
+SMOKES=(
+  "serve|serve_demo|@BIN@/examples/serve_demo|metrics.json:serve/"
+  "sim-smoke|fleet_simulator|@BIN@/tools/sim/fleet_simulator --scenario=steady --sessions=100 --out=@OUT@/fleet.json|fleet.json:\"latency_ms\" metrics.json:sim/ metrics.json:serve/"
+  "http-smoke|http_demo|@BIN@/examples/http_demo|out.log:http/requests_total out.log:route/requests_routed_total"
+)
 
-# sim-smoke leg: the fleet simulator end to end. Build fleet_simulator in
-# a Release + observability configuration, run the steady scenario at 100
-# sessions, and assert it exits 0, writes a non-empty metrics export, and
-# pushes sim/* and serve/* names through the obs registry.
-run_sim_smoke() {
-  leg_dir="${BUILD_ROOT}/sim-smoke"
+# Smoke legs: no ctest run -- build the row's target in one shared
+# Release + observability directory, run the command, and require exit 0
+# plus every check's pattern in its file.
+run_smoke() {
+  leg_name="$1"
+  row=""
+  for r in "${SMOKES[@]}"; do
+    [ "${r%%|*}" = "${leg_name}" ] && row="${r}"
+  done
+  IFS='|' read -r _ target command checks <<< "${row}"
+  leg_dir="${BUILD_ROOT}/smoke"
   echo
-  echo "=== [sim-smoke] configure ==="
+  echo "=== [${leg_name}] configure ==="
   if ! cmake -B "${leg_dir}" -S "${ROOT}" -DDARNET_WERROR=ON \
        -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=ON; then
-    FAILED+=("sim-smoke (configure)")
+    FAILED+=("${leg_name} (configure)")
     return 1
   fi
-  echo "=== [sim-smoke] build fleet_simulator (-j${JOBS}) ==="
-  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target fleet_simulator; then
-    FAILED+=("sim-smoke (build)")
+  echo "=== [${leg_name}] build ${target} (-j${JOBS}) ==="
+  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target "${target}"; then
+    FAILED+=("${leg_name} (build)")
     return 1
   fi
-  echo "=== [sim-smoke] smoke ==="
-  sim_dir="$(mktemp -d)"
-  if ! DARNET_OBS_DUMP="${sim_dir}" \
-       "${leg_dir}/tools/sim/fleet_simulator" --scenario=steady \
-       --sessions=100 --out="${sim_dir}/fleet.json"; then
-    echo "fleet_simulator exited nonzero" >&2
-    rm -rf "${sim_dir}"
-    FAILED+=("sim-smoke (run)")
+  echo "=== [${leg_name}] smoke ==="
+  out_dir="$(mktemp -d)"
+  command="${command//@BIN@/${leg_dir}}"
+  command="${command//@OUT@/${out_dir}}"
+  # shellcheck disable=SC2086  # word splitting over the command intended
+  DARNET_OBS_DUMP="${out_dir}" ${command} > "${out_dir}/out.log" 2>&1
+  status=$?
+  cat "${out_dir}/out.log"
+  if [ "${status}" -ne 0 ]; then
+    echo "${target} exited ${status}" >&2
+    rm -rf "${out_dir}"
+    FAILED+=("${leg_name} (run)")
     return 1
   fi
-  if ! [ -s "${sim_dir}/fleet.json" ]; then
-    echo "fleet_simulator wrote no metrics export" >&2
-    rm -rf "${sim_dir}"
-    FAILED+=("sim-smoke (metrics export)")
-    return 1
-  fi
-  if ! grep -q '"latency_ms"' "${sim_dir}/fleet.json"; then
-    echo "fleet.json has no latency_ms section" >&2
-    rm -rf "${sim_dir}"
-    FAILED+=("sim-smoke (metrics export)")
-    return 1
-  fi
-  if ! grep -q 'sim/' "${sim_dir}/metrics.json" || \
-     ! grep -q 'serve/' "${sim_dir}/metrics.json"; then
-    echo "obs registry snapshot lacks sim/* or serve/* names" >&2
-    rm -rf "${sim_dir}"
-    FAILED+=("sim-smoke (obs registry)")
-    return 1
-  fi
-  rm -rf "${sim_dir}"
-  PASSED+=("sim-smoke")
-  return 0
-}
-
-# http-smoke leg: the HTTP edge end to end over real loopback TCP. Build
-# http_demo in a Release + observability configuration and run it: the
-# demo boots a 2-shard Router behind http::Edge on an ephemeral port and
-# drives /healthz, /classify (with a mid-traffic snapshot hot swap and a
-# quota 429) and /metrics with the in-repo client, exiting nonzero on any
-# miss. The leg additionally asserts the /metrics body the demo prints
-# carries the documented http/* and route/* rows.
-run_http_smoke() {
-  leg_dir="${BUILD_ROOT}/http-smoke"
-  echo
-  echo "=== [http-smoke] configure ==="
-  if ! cmake -B "${leg_dir}" -S "${ROOT}" -DDARNET_WERROR=ON \
-       -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=ON; then
-    FAILED+=("http-smoke (configure)")
-    return 1
-  fi
-  echo "=== [http-smoke] build http_demo (-j${JOBS}) ==="
-  if ! cmake --build "${leg_dir}" -j "${JOBS}" --target http_demo; then
-    FAILED+=("http-smoke (build)")
-    return 1
-  fi
-  echo "=== [http-smoke] smoke ==="
-  http_log="$(mktemp)"
-  if ! "${leg_dir}/examples/http_demo" > "${http_log}" 2>&1; then
-    cat "${http_log}"
-    echo "http_demo exited nonzero" >&2
-    rm -f "${http_log}"
-    FAILED+=("http-smoke (run)")
-    return 1
-  fi
-  cat "${http_log}"
-  if ! grep -q 'http/requests_total' "${http_log}" || \
-     ! grep -q 'route/requests_routed_total' "${http_log}"; then
-    echo "http_demo /metrics body lacks http/* or route/* rows" >&2
-    rm -f "${http_log}"
-    FAILED+=("http-smoke (obs registry)")
-    return 1
-  fi
-  rm -f "${http_log}"
-  PASSED+=("http-smoke")
+  for check in ${checks}; do
+    file="${check%%:*}"
+    pattern="${check#*:}"
+    if ! grep -qF -- "${pattern}" "${out_dir}/${file}" 2>/dev/null; then
+      echo "${target}: ${file} lacks '${pattern}'" >&2
+      rm -rf "${out_dir}"
+      FAILED+=("${leg_name} (${file}: ${pattern})")
+      return 1
+    fi
+  done
+  rm -rf "${out_dir}"
+  PASSED+=("${leg_name}")
   return 0
 }
 
@@ -309,6 +244,10 @@ run_bench_smoke() {
       # Analyzer budget bench: full tree, JSON to /dev/null; the budget,
       # determinism and shape gates must hold on every machine.
       bench_analyze)             args="${ROOT} /dev/null"; ok_status="0" ;;
+      # Serving benches: a missed soft gate (batching gain, shard scaling)
+      # is 1; a dropped request or broken hot swap is 2 and fails the leg.
+      bench_serve)               args="";      ok_status="0 1" ;;
+      bench_shard)               args="";      ok_status="0 1" ;;
       *)                         args="";      ok_status="0 1" ;;
     esac
     # shellcheck disable=SC2086
@@ -424,20 +363,11 @@ for leg in "${LEGS[@]}"; do
     tsan)
       run_leg tsan -DCMAKE_BUILD_TYPE=Debug -DDARNET_SANITIZE=thread
       ;;
-    obs)
-      run_leg obs -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=ON
-      ;;
     obs-off)
       run_leg obs-off -DCMAKE_BUILD_TYPE=Release -DDARNET_OBS=OFF
       ;;
-    serve)
-      run_serve_smoke
-      ;;
-    sim-smoke)
-      run_sim_smoke
-      ;;
-    http-smoke)
-      run_http_smoke
+    serve|sim-smoke|http-smoke)
+      run_smoke "${leg}"
       ;;
     sync-stress)
       run_sync_stress
