@@ -4,7 +4,7 @@
 // binary tools/ci/check.sh boots for its http-smoke leg: it exits
 // nonzero unless /healthz, /classify (including a mid-traffic snapshot
 // hot swap and a quota 429) and /metrics all behave, and it prints the
-// /metrics body so the leg can grep for the documented http/* rows.
+// /metrics body so the leg can grep for the documented serving counts.
 //
 // Usage: http_demo [sessions] [steps_per_session]
 #include <cstdlib>

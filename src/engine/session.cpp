@@ -1,5 +1,6 @@
 #include "engine/session.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +23,13 @@ StreamingVerdict advance(SessionState& state, const Tensor& fused,
                          const StreamingConfig& config) {
   if (fused.rank() != 2 || fused.dim(0) != 1) {
     throw std::invalid_argument("engine::advance: [1, C] rows required");
+  }
+  // Refused before any state changes: one non-finite row would pin the
+  // EWMA (and so the argmax) for the rest of the session.
+  for (const float p : fused.flat()) {
+    if (!std::isfinite(p)) {
+      throw std::invalid_argument("engine::advance: non-finite row");
+    }
   }
   if (!state.smoothed) {
     state.smoothed = fused;

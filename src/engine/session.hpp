@@ -68,8 +68,10 @@ struct SessionState {
 /// Apply one fused per-step distribution (`fused`, shape [1, C]) to the
 /// session: EWMA-smooth, argmax, update the debounce streak, and count.
 /// Bitwise-identical to the historical StreamingClassifier::step /
-/// smooth_timeline arithmetic. The config is NOT validated here (callers
-/// validate once up front with `validate`).
+/// smooth_timeline arithmetic. Throws std::invalid_argument, leaving
+/// `state` untouched, on a row that is not [1, C] or holds a non-finite
+/// value. The config is NOT validated here (callers validate once up front
+/// with `validate`).
 StreamingVerdict advance(SessionState& state, const Tensor& fused,
                          const StreamingConfig& config);
 

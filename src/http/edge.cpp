@@ -1,9 +1,11 @@
 #include "http/edge.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -40,7 +42,9 @@ using tensor::Tensor;
 }
 
 /// Parses the flat float array after `key` into a tensor of `shape`.
-/// Returns false on absent key, malformed array or length mismatch.
+/// Returns false on absent key, malformed array, length mismatch or an
+/// element that is not a finite float (nan, inf, or out of float range
+/// like 1e999): one such row would poison its session's EWMA.
 [[nodiscard]] bool parse_tensor(const std::string& body,
                                 const std::string& key,
                                 const std::vector<int>& shape, Tensor& out) {
@@ -58,6 +62,7 @@ using tensor::Tensor;
     const double value = std::strtod(cursor, &end);
     if (end == cursor || end > limit) return false;
     parsed[i] = static_cast<float>(value);
+    if (!std::isfinite(parsed[i])) return false;
     cursor = end;
     while (cursor < limit && (*cursor == ',' || *cursor == ' ' ||
                               *cursor == '\n' || *cursor == '\t')) {
@@ -97,7 +102,7 @@ Response Edge::handle(const Request& request) {
   if (request.target == "/metrics") {
     if (request.method != "GET") return json_error(405, "GET only");
     Response response;
-    response.body = obs::registry().to_json();
+    response.body = metrics_json();
     return response;
   }
   if (request.target == "/classify") {
@@ -108,6 +113,47 @@ Response Edge::handle(const Request& request) {
   return json_error(404, "no such route");
 }
 
+std::string Edge::metrics_json() const {
+  const serve::Router::Stats route = router_.stats();
+  const HttpServer::Stats http = server_.stats();
+  using Shard = serve::Server::Stats;
+  const auto sum = [&route](std::uint64_t Shard::*field) {
+    std::uint64_t total = 0;
+    for (const Shard& shard : route.per_shard) total += shard.*field;
+    return total;
+  };
+  // The one place /metrics names a serving count: darnet_analyze reads its
+  // first argument like a DARNET_* macro's, against docs/OBSERVABILITY.md.
+  std::string out = "{\"serving\":{";
+  const auto serving_count = [&out](std::string_view name,
+                                    std::uint64_t value) {
+    if (out.back() != '{') out += ',';
+    out.append("\"").append(name).append("\":") += std::to_string(value);
+  };
+  serving_count("http/bad_requests_total", http.bad_requests);
+  serving_count("http/connections_total", http.connections);
+  serving_count("http/overload_rejected_total", http.overloaded);
+  serving_count("http/requests_total", http.requests);
+  serving_count("route/quota_rejected_total", route.quota_rejected);
+  serving_count("route/requests_routed_total", route.routed);
+  serving_count("route/shards", route.per_shard.size());
+  serving_count("route/snapshot_swaps_total", route.snapshot_swaps);
+  serving_count("serve/batch_rows_total", sum(&Shard::batched_rows));
+  serving_count("serve/batches_degraded_total", sum(&Shard::degraded_batches));
+  serving_count("serve/batches_executed_total", sum(&Shard::batches));
+  serving_count("serve/ensemble_swaps_total", sum(&Shard::ensemble_swaps));
+  serving_count("serve/requests_completed_total", sum(&Shard::completed));
+  serving_count("serve/requests_failed_total", sum(&Shard::failed));
+  serving_count("serve/requests_rejected_total", sum(&Shard::rejected));
+  serving_count("serve/requests_shed_total", sum(&Shard::shed));
+  serving_count("serve/requests_submitted_total", sum(&Shard::submitted));
+  serving_count("serve/requests_timeout_total", sum(&Shard::timeouts));
+  // The registry snapshot joins as sibling keys: drop its opening brace.
+  out += "},";
+  out.append(obs::registry().to_json(), 1);
+  return out;
+}
+
 Response Edge::handle_classify(const Request& request) {
   engine::ClassifyRequest classify;
   if (!parse_u64(request.body, "session", classify.session_id)) {
@@ -116,15 +162,15 @@ Response Edge::handle_classify(const Request& request) {
   (void)parse_u64(request.body, "tenant", classify.tenant_id);
   if (!parse_tensor(request.body, "frame", config_.frame_shape,
                     classify.frame)) {
-    return json_error(400, "frame must be a flat array matching the "
-                           "configured shape");
+    return json_error(400, "frame must be a flat array of finite numbers "
+                           "matching the configured shape");
   }
   classify.imu_window = Tensor(config_.imu_shape);
   if (value_offset(request.body, "imu") != std::string::npos &&
       !parse_tensor(request.body, "imu", config_.imu_shape,
                     classify.imu_window)) {
-    return json_error(400, "imu must be a flat array matching the "
-                           "configured shape");
+    return json_error(400, "imu must be a flat array of finite numbers "
+                           "matching the configured shape");
   }
   if (config_.deadline_us > 0) {
     classify.deadline = router_.clock_now() +

@@ -10,8 +10,11 @@
 //                    `tenant` and `imu` are optional (default tenant 0 /
 //                    zero window). Shed/rejected/timeout requests map to
 //                    HTTP 503 with "status" naming the verdict.
-//   GET  /metrics    -> 200, the process-wide obs registry as JSON
-//                    (docs/OBSERVABILITY.md names every row).
+//   GET  /metrics    -> 200 {"serving":{...},"counters":{...},...}: the
+//                    serving counts, rendered in every build from the
+//                    router's (shards summed) and listener's Stats, beside
+//                    the obs registry snapshot (empty with DARNET_OBS=OFF).
+//                    docs/OBSERVABILITY.md names every row.
 //   GET  /healthz    -> 200 {"status":"ok","shards":N,"version":V}
 //
 // The Edge borrows the Router: construct the router first, stop() the
@@ -20,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "http/http.hpp"
@@ -54,6 +58,7 @@ class Edge {
  private:
   [[nodiscard]] Response handle(const Request& request);
   [[nodiscard]] Response handle_classify(const Request& request);
+  [[nodiscard]] std::string metrics_json() const;
 
   serve::Router& router_;
   const EdgeConfig config_;

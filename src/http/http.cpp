@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -71,18 +72,21 @@ void send_response(int fd, const Response& response) {
 [[nodiscard]] bool read_request(int fd, std::size_t max_bytes,
                                 Request& request) {
   std::string buffer;
-  std::size_t head_end = std::string::npos;
-  char chunk[4096];
-  while (true) {
-    head_end = buffer.find("\r\n\r\n");
-    if (head_end != std::string::npos) break;
-    if (buffer.size() > max_bytes) return false;
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
+  // Appends the next chunk off the socket; false on EOF or error.
+  const auto recv_more = [fd, &buffer] {
+    char chunk[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      if (n > 0) {
+        buffer.append(chunk, static_cast<std::size_t>(n));
+        return true;
+      }
+      if (n == 0 || errno != EINTR) return false;
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+  };
+  std::size_t head_end = std::string::npos;
+  while ((head_end = buffer.find("\r\n\r\n")) == std::string::npos) {
+    if (buffer.size() > max_bytes || !recv_more()) return false;
   }
 
   // Request line: METHOD SP TARGET SP VERSION.
@@ -131,12 +135,7 @@ void send_response(int fd, const Response& response) {
   const std::size_t body_begin = head_end + 4;
   if (body_begin + content_length > max_bytes) return false;
   while (buffer.size() < body_begin + content_length) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    if (!recv_more()) return false;
   }
   request.body = buffer.substr(body_begin, content_length);
   return true;
@@ -179,19 +178,14 @@ HttpServer::HttpServer(Handler handler, HttpServerConfig config)
       config_(config),
       listener_{bind_loopback(config.port)},
       port_(bound_port(listener_.fd)) {
-  if (!handler_) {
+  const auto require = [this](bool ok, const char* what) {
+    if (ok) return;
     (void)::close(listener_.fd);
-    throw std::invalid_argument("http::HttpServer: handler must be set");
-  }
-  if (config_.workers < 1) {
-    (void)::close(listener_.fd);
-    throw std::invalid_argument("http::HttpServer: workers must be >= 1");
-  }
-  if (config_.pending_capacity < 1) {
-    (void)::close(listener_.fd);
-    throw std::invalid_argument(
-        "http::HttpServer: pending_capacity must be >= 1");
-  }
+    throw std::invalid_argument(std::string("http::HttpServer: ") + what);
+  };
+  require(static_cast<bool>(handler_), "handler must be set");
+  require(config_.workers >= 1, "workers must be >= 1");
+  require(config_.pending_capacity >= 1, "pending_capacity must be >= 1");
   // Start the threads before taking mu_ (their loops acquire it from
   // their own stacks), then publish the handles under the lock.
   std::vector<parallel::ServiceThread> workers;
@@ -214,7 +208,6 @@ void HttpServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (stop()) or irrecoverable
     }
-    DARNET_COUNTER_ADD("http/connections_total", 1);
     bool overloaded = false;
     {
       sync::Lock lock(mu_);
@@ -231,7 +224,6 @@ void HttpServer::accept_loop() {
       }
     }
     if (overloaded) {
-      DARNET_COUNTER_ADD("http/overload_rejected_total", 1);
       Response response;
       response.status = 503;
       response.body = "{\"error\":\"overloaded\"}";
@@ -266,18 +258,11 @@ void HttpServer::handle_connection(int fd) {
   const auto started = clock_now();
   Request request;
   Response response;
-  if (!read_request(fd, config_.max_request_bytes, request)) {
+  const bool parsed = read_request(fd, config_.max_request_bytes, request);
+  if (!parsed) {
     response.status = 400;
     response.body = "{\"error\":\"malformed request\"}";
-    DARNET_COUNTER_ADD("http/bad_requests_total", 1);
-    sync::Lock lock(mu_);
-    ++stats_.bad_requests;
   } else {
-    DARNET_COUNTER_ADD("http/requests_total", 1);
-    {
-      sync::Lock lock(mu_);
-      ++stats_.requests;
-    }
     try {
       response = handler_(request);
     } catch (const std::exception&) {
@@ -285,9 +270,13 @@ void HttpServer::handle_connection(int fd) {
       response.status = 500;
       response.body = "{\"error\":\"handler failed\"}";
     }
+  }
+  {
+    // Counted before the reply goes out, so a client holding its reply
+    // reads counts that include it.
+    sync::Lock lock(mu_);
+    if (parsed) ++stats_.requests;
     if (response.status >= 400 && response.status < 500) {
-      DARNET_COUNTER_ADD("http/bad_requests_total", 1);
-      sync::Lock lock(mu_);
       ++stats_.bad_requests;
     }
   }

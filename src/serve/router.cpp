@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
-
-#include "obs/obs.hpp"
 
 namespace darnet::serve {
 
@@ -13,41 +12,33 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Throws std::invalid_argument("<who>: <what>") unless `ok`.
+void require(bool ok, const char* who, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string(who) + ": " + what);
+}
+
 [[nodiscard]] std::vector<std::unique_ptr<Server>> build_shards(
     Router::Snapshot& snapshot, const RouterConfig& config) {
-  if (config.shards < 1) {
-    throw std::invalid_argument("serve::Router: shards must be >= 1");
-  }
-  if (config.virtual_nodes < 1) {
-    throw std::invalid_argument(
-        "serve::Router: virtual_nodes must be >= 1");
-  }
-  if (snapshot.replicas.size() != static_cast<std::size_t>(config.shards)) {
-    throw std::invalid_argument(
-        "serve::Router: snapshot must carry one replica per shard");
-  }
+  const char* who = "serve::Router";
+  require(config.shards >= 1, who, "shards must be >= 1");
+  require(config.virtual_nodes >= 1, who, "virtual_nodes must be >= 1");
+  require(snapshot.replicas.size() == static_cast<std::size_t>(config.shards),
+          who, "snapshot must carry one replica per shard");
   for (std::size_t i = 0; i < snapshot.replicas.size(); ++i) {
-    if (!snapshot.replicas[i]) {
-      throw std::invalid_argument(
-          "serve::Router: snapshot replica must not be null");
-    }
+    require(snapshot.replicas[i] != nullptr, who,
+            "snapshot replica must not be null");
+    // Models keep forward caches; two shards batching into one replica
+    // concurrently would race (each shard only serialises on its *own*
+    // exec lock).
     for (std::size_t j = i + 1; j < snapshot.replicas.size(); ++j) {
-      if (snapshot.replicas[i] == snapshot.replicas[j]) {
-        // Models keep forward caches; two shards batching into one
-        // replica concurrently would race (each shard only serialises
-        // on its *own* exec lock).
-        throw std::invalid_argument(
-            "serve::Router: shards must not share an ensemble replica");
-      }
+      require(snapshot.replicas[i] != snapshot.replicas[j], who,
+              "shards must not share an ensemble replica");
     }
   }
   for (const auto& [tenant, quota] : config.quotas) {
     (void)tenant;
-    if (quota.capacity < 1.0 || quota.refill_per_s < 0.0) {
-      throw std::invalid_argument(
-          "serve::Router: tenant quota needs capacity >= 1 and "
-          "refill_per_s >= 0");
-    }
+    require(quota.capacity >= 1.0 && quota.refill_per_s >= 0.0, who,
+            "tenant quota needs capacity >= 1 and refill_per_s >= 0");
   }
   std::vector<std::unique_ptr<Server>> shards;
   shards.reserve(snapshot.replicas.size());
@@ -100,7 +91,6 @@ Router::Router(Snapshot snapshot, RouterConfig config)
       shards_(build_shards(snapshot, config_)),
       ring_(build_ring(config_)) {
   version_ = snapshot.version;
-  DARNET_GAUGE_SET("route/shards", static_cast<std::int64_t>(shards()));
 }
 
 Router::~Router() { drain(); }
@@ -162,34 +152,22 @@ Server::Submission Router::submit(engine::ClassifyRequest request) {
   }
   // Promise resolution and shard admission both run with route/state
   // released: the quota door adds no lock nesting on the request path.
-  if (!admitted) {
-    DARNET_COUNTER_ADD("route/quota_rejected_total", 1);
-    return rejected_submission();
-  }
-  DARNET_COUNTER_ADD("route/requests_routed_total", 1);
+  if (!admitted) return rejected_submission();
   const int shard_index = shard_for(request.session_id);
   return shards_[static_cast<std::size_t>(shard_index)]->submit(
       std::move(request));
 }
 
 void Router::swap_snapshot(Snapshot next) {
-  if (next.replicas.size() != shards_.size()) {
-    throw std::invalid_argument(
-        "serve::Router::swap_snapshot: snapshot must carry one replica "
-        "per shard");
-  }
+  const char* who = "serve::Router::swap_snapshot";
+  require(next.replicas.size() == shards_.size(), who,
+          "snapshot must carry one replica per shard");
   for (const auto& replica : next.replicas) {
-    if (!replica) {
-      throw std::invalid_argument(
-          "serve::Router::swap_snapshot: replica must not be null");
-    }
+    require(replica != nullptr, who, "replica must not be null");
   }
   sync::Lock lock(mu_);
-  if (next.version <= version_) {
-    throw std::invalid_argument(
-        "serve::Router::swap_snapshot: version must increase "
-        "monotonically (stale rollout?)");
-  }
+  require(next.version > version_, who,
+          "version must increase monotonically (stale rollout?)");
   // The RCU write side: flip every shard's served-ensemble pointer under
   // route/state (recording the route/state -> serve/admission lock-order
   // edge). In-flight batches keep serving the replica they snapshotted.
@@ -198,7 +176,6 @@ void Router::swap_snapshot(Snapshot next) {
   }
   version_ = next.version;
   ++swaps_;
-  DARNET_COUNTER_ADD("route/snapshot_swaps_total", 1);
 }
 
 std::uint64_t Router::snapshot_version() const {

@@ -5,6 +5,7 @@
 #include <exception>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "check/check.hpp"
@@ -57,26 +58,16 @@ const char* status_name(Status status) noexcept {
 Server::Server(std::shared_ptr<engine::EnsembleClassifier> ensemble,
                ShardConfig config)
     : config_(config), ensemble_(std::move(ensemble)) {
-  if (!ensemble_) {
-    throw std::invalid_argument("serve::Server: ensemble must not be null");
-  }
-  if (config_.max_batch < 1) {
-    throw std::invalid_argument("serve::Server: max_batch must be >= 1");
-  }
-  if (config_.max_delay_us < 0) {
-    throw std::invalid_argument("serve::Server: max_delay_us must be >= 0");
-  }
-  if (config_.queue_capacity < 1) {
-    throw std::invalid_argument("serve::Server: queue_capacity must be >= 1");
-  }
-  if (config_.workers < 1) {
-    throw std::invalid_argument("serve::Server: workers must be >= 1");
-  }
-  if (config_.degrade_low_watermark > config_.degrade_high_watermark) {
-    throw std::invalid_argument(
-        "serve::Server: degrade_low_watermark must be <= "
-        "degrade_high_watermark");
-  }
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("serve::Server: ") + what);
+  };
+  require(ensemble_ != nullptr, "ensemble must not be null");
+  require(config_.max_batch >= 1, "max_batch must be >= 1");
+  require(config_.max_delay_us >= 0, "max_delay_us must be >= 0");
+  require(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
+  require(config_.workers >= 1, "workers must be >= 1");
+  require(config_.degrade_low_watermark <= config_.degrade_high_watermark,
+          "degrade_low_watermark must be <= degrade_high_watermark");
   engine::validate(config_.streaming, "serve::Server");
 
   workers_.reserve(static_cast<std::size_t>(config_.workers));
@@ -99,13 +90,12 @@ Server::Submission Server::submit(engine::ClassifyRequest request) {
   Submission out;
   out.response = pending.promise.get_future();
 
-  // Completed outside the admission lock: promise continuations must never
-  // run while mu_ is held.
+  // Counted under the admission lock, completed outside it: promise
+  // continuations must never run while mu_ is held.
   std::optional<Pending> shed;
   {
     sync::Lock lock(mu_);
     ++stats_.submitted;
-    DARNET_COUNTER_ADD("serve/requests_submitted_total", 1);
     if (draining_) {
       out.admit = Admit::kRejected;
     } else if (queue_.size() >= config_.queue_capacity) {
@@ -113,7 +103,6 @@ Server::Submission Server::submit(engine::ClassifyRequest request) {
         shed.emplace(std::move(queue_.front()));
         queue_.pop_front();
         ++stats_.shed;
-        DARNET_COUNTER_ADD("serve/requests_shed_total", 1);
         out.admit = Admit::kShedOldest;
       } else {
         out.admit = Admit::kRejected;
@@ -123,7 +112,6 @@ Server::Submission Server::submit(engine::ClassifyRequest request) {
     }
     if (out.admit == Admit::kRejected) {
       ++stats_.rejected;
-      DARNET_COUNTER_ADD("serve/requests_rejected_total", 1);
     } else {
       ++stats_.accepted;
       DARNET_CHECK_MSG(queue_.size() < config_.queue_capacity,
@@ -139,14 +127,11 @@ Server::Submission Server::submit(engine::ClassifyRequest request) {
     work_cv_.notify_one();
   }
   if (shed) {
-    Response response;
-    response.status = Status::kShed;
-    complete(*shed, std::move(response));
+    shed->response.status = Status::kShed;
+    complete(*shed);
   }
   if (out.admit == Admit::kRejected) {
-    Response response;
-    response.status = Status::kRejected;
-    complete(pending, std::move(response));
+    complete(pending);  // a default Response is Status::kRejected
   }
   return out;
 }
@@ -240,38 +225,38 @@ void Server::execute_batch(
   DARNET_SPAN("serve/execute_batch");
 
   // Deadline triage: requests already past their deadline get a timeout
-  // verdict without inference; the rest keep their admission order.
+  // verdict without inference and leave the batch before the fused pass;
+  // the rest keep their admission order.
   const auto now = clock_now();
-  std::vector<Pending> live;
-  std::vector<Pending> expired;
-  live.reserve(batch.size());
-  for (auto& pending : batch) {
-    if (pending.request.deadline < now) {
-      expired.push_back(std::move(pending));
-    } else {
-      live.push_back(std::move(pending));
+  const auto late = [now](const Pending& p) {
+    return p.request.deadline < now;
+  };
+  if (const auto expired = std::count_if(batch.begin(), batch.end(), late)) {
+    {
+      sync::Lock lock(mu_);
+      stats_.timeouts += static_cast<std::uint64_t>(expired);
     }
-  }
-  for (auto& pending : expired) {
-    Response response;
-    response.status = Status::kTimeout;
-    response.result.latency_us = us_between(pending.enqueued, now);
-    DARNET_COUNTER_ADD("serve/requests_timeout_total", 1);
-    complete(pending, std::move(response));
+    for (auto& pending : batch) {
+      if (!late(pending)) continue;
+      pending.response.status = Status::kTimeout;
+      pending.response.result.latency_us = us_between(pending.enqueued, now);
+      complete(pending);
+    }
+    std::erase_if(batch, late);
   }
 
   // Gather + fused pass. exec_mu_ serialises entry into the ensemble: the
   // underlying models keep forward caches, so at most one batch at a time.
   Tensor fused;
   std::exception_ptr error;
-  if (!live.empty()) {
+  if (!batch.empty()) {
     try {
       std::vector<Tensor> frames;
       std::vector<Tensor> imu;
-      frames.reserve(live.size());
+      frames.reserve(batch.size());
       const bool want_imu = ensemble->has_imu_model();
-      if (want_imu) imu.reserve(live.size());
-      for (auto& pending : live) {
+      if (want_imu) imu.reserve(batch.size());
+      for (auto& pending : batch) {
         frames.push_back(std::move(pending.request.frame));
         if (want_imu) imu.push_back(std::move(pending.request.imu_window));
       }
@@ -291,19 +276,21 @@ void Server::execute_batch(
   // admission order, which is what makes served verdict sequences
   // bit-identical to the single-threaded reference for any worker count.
   // This block runs for every ticket (even all-expired or failed batches)
-  // so the ordering chain never stalls.
+  // so the ordering chain never stalls. Outcomes are parked in each
+  // Pending; the promises resolve only after the counts are published.
+  std::size_t failed = 0;
   {
     sync::UniqueLock lock(apply_mu_);
     apply_cv_.wait(lock, [&] { return next_apply_ == ticket; });
-    if (!live.empty() && !error) {
+    if (!batch.empty() && !error) {
       DARNET_SPAN("serve/scatter_rows");
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        Pending& pending = live[i];
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        Pending& pending = batch[i];
         try {
           const Tensor row = tensor::take_row(fused, static_cast<int>(i));
           engine::SessionState& state =
               sessions_[pending.request.session_id];
-          Response response;
+          Response& response = pending.response;
           response.status = Status::kOk;
           response.result.degraded = degraded;
           response.result.verdict =
@@ -314,49 +301,44 @@ void Server::execute_batch(
                   .count();
           response.result.latency_us = done_ns / 1000;
           DARNET_HISTOGRAM_NS("serve/request_latency_ns", done_ns);
-          complete(pending, std::move(response));
         } catch (...) {
-          pending.promise.set_exception(std::current_exception());
+          pending.error = std::current_exception();
+          ++failed;
         }
       }
     }
     ++next_apply_;
     apply_cv_.notify_all();
   }
+  if (batch.empty()) return;
   if (error) {
-    for (auto& pending : live) {
-      pending.promise.set_exception(error);
-    }
+    failed = batch.size();
+    for (auto& pending : batch) pending.error = error;
   }
 
+  // Publish before resolving: a caller that has seen a future resolve
+  // reads counts that include it.
   {
     sync::Lock lock(mu_);
-    stats_.timeouts += expired.size();
-    if (!live.empty()) {
-      ++stats_.batches;
-      if (degraded) ++stats_.degraded_batches;
-      stats_.batched_rows += live.size();
-      if (!error) stats_.completed += live.size();
-    }
+    ++stats_.batches;
+    if (degraded) ++stats_.degraded_batches;
+    stats_.batched_rows += batch.size();
+    stats_.completed += batch.size() - failed;
+    stats_.failed += failed;
   }
-  if (!live.empty()) {
-    DARNET_COUNTER_ADD("serve/batches_executed_total", 1);
-    DARNET_COUNTER_ADD("serve/batch_rows_total",
-                       static_cast<std::int64_t>(live.size()));
-    if (degraded) DARNET_COUNTER_ADD("serve/batches_degraded_total", 1);
-    if (!error) {
-      DARNET_COUNTER_ADD("serve/requests_completed_total",
-                         static_cast<std::int64_t>(live.size()));
-    }
-  }
+  for (auto& pending : batch) complete(pending);
 }
 
 // REQUIRES: mu_ free. Futures may have continuations attached; resolving
 // one while holding the admission lock could re-enter submit() and
 // self-deadlock.
-void Server::complete(Pending& pending, Response response) {
+void Server::complete(Pending& pending) {
   DARNET_ASSERT_NOT_HELD(mu_);
-  pending.promise.set_value(std::move(response));
+  if (pending.error) {
+    pending.promise.set_exception(pending.error);
+  } else {
+    pending.promise.set_value(std::move(pending.response));
+  }
 }
 
 void Server::drain() {
@@ -417,7 +399,6 @@ std::shared_ptr<engine::EnsembleClassifier> Server::swap_ensemble(
     ensemble_ = std::move(next);
     ++stats_.ensemble_swaps;
   }
-  DARNET_COUNTER_ADD("serve/ensemble_swaps_total", 1);
   return previous;
 }
 

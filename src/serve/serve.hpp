@@ -36,13 +36,14 @@
 //     per-session inputs in the same order, regardless of batch
 //     boundaries or worker count.
 //
-// Everything is instrumented with serve/* metrics and spans per the
-// docs/OBSERVABILITY.md contract.
+// Counts live in Server::Stats (rendered by the HTTP edge's /metrics in
+// every build); histograms, gauges and spans follow docs/OBSERVABILITY.md.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <optional>
@@ -173,7 +174,9 @@ class Server {
   /// The ensemble currently being served (consistent snapshot).
   [[nodiscard]] std::shared_ptr<engine::EnsembleClassifier> ensemble() const;
 
-  /// Aggregate counters (consistent snapshot).
+  /// Aggregate counters (consistent snapshot), each published before the
+  /// future it counts resolves. Once every future has resolved:
+  /// submitted == completed + shed + rejected + timeouts + failed.
   struct Stats {
     std::uint64_t submitted{0};
     std::uint64_t accepted{0};
@@ -181,6 +184,9 @@ class Server {
     std::uint64_t rejected{0};
     std::uint64_t timeouts{0};
     std::uint64_t completed{0};
+    /// Resolved with an exception: the fused pass or the row's scatter
+    /// threw (e.g. engine::advance refusing a non-finite row).
+    std::uint64_t failed{0};
     std::uint64_t batches{0};
     std::uint64_t degraded_batches{0};
     std::uint64_t batched_rows{0};
@@ -209,6 +215,9 @@ class Server {
     engine::ClassifyRequest request;
     std::promise<Response> promise;
     std::chrono::steady_clock::time_point enqueued;
+    // The outcome complete() resolves with (`error` wins when set).
+    Response response;
+    std::exception_ptr error;
   };
 
   void worker_loop();
@@ -216,9 +225,9 @@ class Server {
                      bool degraded,
                      const std::shared_ptr<engine::EnsembleClassifier>&
                          ensemble);
-  // Resolves a request's promise. REQUIRES: mu_ free (promise
-  // continuations must never run under the admission lock).
-  void complete(Pending& pending, Response response);
+  // Resolves a request's promise with its outcome, once counted. REQUIRES:
+  // mu_ free (promise continuations must never run under the admission lock).
+  void complete(Pending& pending);
   // The configured clock (config_.time_source, or steady_clock when null).
   [[nodiscard]] std::chrono::steady_clock::time_point clock_now()
       const noexcept;

@@ -2,8 +2,12 @@
 // the stream->model registry.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "engine/architectures.hpp"
 #include "engine/engine.hpp"
+#include "engine/session.hpp"
 #include "imu/imu.hpp"
 #include "nn/dense.hpp"
 
@@ -172,6 +176,53 @@ TEST(Architectures, Names) {
                "CNN+SVM");
   EXPECT_STREQ(engine::architecture_name(ArchitectureKind::kCnnRnn),
                "CNN+RNN");
+}
+
+// One non-finite row must not poison a session: advance() refuses it
+// before touching the state, and the next finite row is served exactly as
+// if the bad one had never arrived.
+TEST(SessionState, NonFiniteRowIsRefusedWithoutTouchingState) {
+  const engine::StreamingConfig config;
+  auto row = [](float a, float b, float c) {
+    Tensor t({1, 3});
+    t.at(0, 0) = a;
+    t.at(0, 1) = b;
+    t.at(0, 2) = c;
+    return t;
+  };
+  engine::SessionState state;
+  (void)engine::advance(state, row(0.2f, 0.7f, 0.1f), config);
+  (void)engine::advance(state, row(0.1f, 0.8f, 0.1f), config);
+  const engine::SessionState reference = state;
+  ASSERT_TRUE(reference.smoothed.has_value());
+
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Tensor& bad : {row(nan, 0.5f, 0.5f), row(0.5f, inf, 0.5f),
+                            row(0.5f, 0.5f, -inf)}) {
+    EXPECT_THROW((void)engine::advance(state, bad, config),
+                 std::invalid_argument);
+    ASSERT_TRUE(state.smoothed.has_value());
+    EXPECT_EQ(std::memcmp(state.smoothed->data(), reference.smoothed->data(),
+                          3 * sizeof(float)),
+              0);
+    EXPECT_EQ(state.streak, reference.streak);
+    EXPECT_EQ(state.steps, reference.steps);
+    EXPECT_EQ(state.alerts, reference.alerts);
+  }
+
+  engine::SessionState clean = reference;
+  const Tensor next = row(0.6f, 0.3f, 0.1f);
+  const engine::StreamingVerdict got = engine::advance(state, next, config);
+  const engine::StreamingVerdict want = engine::advance(clean, next, config);
+  EXPECT_EQ(got.predicted, want.predicted);
+  EXPECT_EQ(got.alert, want.alert);
+  EXPECT_EQ(got.alert_onset, want.alert_onset);
+  EXPECT_EQ(std::memcmp(got.distribution.data(), want.distribution.data(),
+                        3 * sizeof(float)),
+            0);
+  EXPECT_EQ(state.streak, clean.streak);
+  EXPECT_EQ(state.steps, clean.steps);
 }
 
 }  // namespace

@@ -208,12 +208,33 @@ TEST(HttpEdge, RoutesHealthzMetricsAndErrors) {
   EXPECT_NE(reply.body.find("\"shards\":2"), std::string::npos);
   EXPECT_NE(reply.body.find("\"version\":1"), std::string::npos);
 
+  // k classifies spread over both shards. Each count is published before
+  // its reply, so /metrics read right after the last reply carries all k,
+  // in every build: the serving counts come from the Stats structs, not
+  // from the obs registry.
+  constexpr int k = 6;
+  for (int s = 0; s < k; ++s) {
+    const std::string body = "{\"session\":" + std::to_string(s) +
+                             ",\"frame\":[0.1,0.2,0.3,0.4]}";
+    ASSERT_EQ(http::post("127.0.0.1", edge.port(), "/classify", body).status,
+              200);
+  }
   reply = http::get("127.0.0.1", edge.port(), "/metrics");
   EXPECT_EQ(reply.status, 200);
-  // The obs registry JSON carries the documented serving rows (the
-  // router sets its shard-count gauge at construction; serve/* counters
-  // only appear once a batch is actually served).
-  EXPECT_NE(reply.body.find("route/shards"), std::string::npos);
+  const std::string want_k = ":" + std::to_string(k);
+  for (const char* row :
+       {"\"route/shards\":2", "\"serve/requests_failed_total\":0",
+        "\"route/quota_rejected_total\":0"}) {
+    EXPECT_NE(reply.body.find(row), std::string::npos) << row << reply.body;
+  }
+  for (const char* name :
+       {"route/requests_routed_total", "serve/requests_completed_total",
+        "serve/requests_submitted_total", "serve/batch_rows_total"}) {
+    EXPECT_NE(reply.body.find("\"" + std::string(name) + "\"" + want_k),
+              std::string::npos)
+        << name << reply.body;
+  }
+  EXPECT_NE(reply.body.find("\"histograms\":"), std::string::npos);
 
   EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/healthz", "{}").status,
             405);
@@ -262,6 +283,21 @@ TEST(HttpEdge, ClassifyMatchesTheStreamingReferenceBitForBit) {
             400);  // frame/shape mismatch
   EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/classify", "junk").status,
             400);
+  // A non-finite element would pin its session's EWMA for good: nan, inf
+  // and decimals that overflow float are refused, in frame and in imu.
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "infinity", "1e999",
+                          "-1e999", "1e39"}) {
+    std::string imu = std::string("[") + bad;  // the 8x3 window
+    for (int i = 1; i < 24; ++i) imu += ",0";
+    for (const std::string& body :
+         {"{\"session\":1,\"frame\":[0.1," + std::string(bad) + ",0.3,0.4]}",
+          "{\"session\":1,\"frame\":[0.1,0.2,0.3,0.4],\"imu\":" + imu +
+              "]}"}) {
+      EXPECT_EQ(http::post("127.0.0.1", edge.port(), "/classify", body).status,
+                400)
+          << body;
+    }
+  }
 
   edge.stop();
   router.drain();

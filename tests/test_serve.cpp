@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -94,6 +96,27 @@ struct IdentityImu final : engine::ProbabilisticClassifier {
   Tensor probabilities(const Tensor& inputs) override { return inputs; }
   int num_classes() const override { return 3; }
   std::string describe() const override { return "identity"; }
+};
+
+/// Fails on request: the fused pass throws when any row's feature 0 is
+/// negative; a row whose feature 1 is negative comes back NaN (which
+/// engine::advance refuses at scatter). Other rows get a uniform posterior.
+struct FaultyClassifier final : engine::ProbabilisticClassifier {
+  Tensor probabilities(const Tensor& inputs) override {
+    Tensor p({inputs.dim(0), kClasses});
+    p.fill(1.0f / static_cast<float>(kClasses));
+    for (int r = 0; r < inputs.dim(0); ++r) {
+      if (inputs.at(r, 0) < 0.0f) throw std::runtime_error("model fault");
+      if (inputs.at(r, 1) < 0.0f) {
+        for (int c = 0; c < kClasses; ++c) {
+          p.at(r, c) = std::numeric_limits<float>::quiet_NaN();
+        }
+      }
+    }
+    return p;
+  }
+  int num_classes() const override { return kClasses; }
+  std::string describe() const override { return "faulty"; }
 };
 
 /// serve::TimeSource forwarding to the wall clock -- an explicit source
@@ -519,6 +542,92 @@ TEST(ServeDrain, LeavesNoPendingFuturesAndRejectsAfter) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, 10u);
   EXPECT_EQ(stats.rejected, 6u);
+}
+
+// Counts are published before the futures they count resolve, so a
+// caller that has just seen N futures resolve reads completed == N -- no
+// sleep, no drain. The client spins on readiness rather than sleeping in
+// get(), so it races the worker for the admission lock right after the
+// last promise resolves: with the old order (resolve, then count) this
+// loop read stale counts within a few hundred rounds.
+TEST(ServeStats, CountsIncludeEveryResolvedFuture) {
+  serve::ShardConfig config;
+  config.max_batch = 4;
+  config.max_delay_us = 0;
+  serve::Server server(make_dense_ensemble(), config);
+  const Tensor frame({1, kFeatures});
+  constexpr int kRounds = 2000;
+  constexpr int kPerRound = 3;
+  std::uint64_t resolved = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::future<serve::Response>> futures;
+    for (int i = 0; i < kPerRound; ++i) {
+      futures.push_back(server.submit(make_request(1, frame)).response);
+    }
+    for (auto& future : futures) {
+      while (future.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+      }
+      ASSERT_EQ(future.get().status, serve::Status::kOk);
+    }
+    resolved += kPerRound;
+    ASSERT_EQ(server.stats().completed, resolved) << "round " << round;
+  }
+}
+
+// A classifier that throws, or returns non-finite rows, resolves every
+// affected future exactly once with an exception, and the counts conserve:
+// submitted == completed + shed + rejected + timeouts + failed.
+TEST(ServeStats, FailuresAreCountedAndCountsConserve) {
+  auto ensemble = std::make_shared<engine::EnsembleClassifier>(
+      std::make_shared<FaultyClassifier>(), nullptr,
+      bayes::ClassMap::darnet_default());
+  serve::ShardConfig config;
+  config.max_batch = 4;
+  config.max_delay_us = 0;
+  config.queue_capacity = 256;
+  serve::Server server(ensemble, config);
+
+  // Session 100 + i: kind i % 5 == 0 throws the batch, 1 is a NaN row,
+  // the rest are good rows (failed only when batched with a throw).
+  constexpr int kRequests = 100;
+  std::vector<std::future<serve::Response>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    Tensor frame({1, kFeatures});
+    frame.fill(0.5f);
+    if (i % 5 == 0) frame.at(0, 0) = -1.0f;
+    if (i % 5 == 1) frame.at(0, 1) = -1.0f;
+    auto sub = server.submit(
+        make_request(static_cast<std::uint64_t>(100 + i), frame));
+    ASSERT_EQ(sub.admit, serve::Admit::kAccepted);
+    futures.push_back(std::move(sub.response));
+  }
+  std::uint64_t ok = 0;
+  std::uint64_t failed = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    try {
+      const serve::Response response = futures[i].get();
+      EXPECT_EQ(response.status, serve::Status::kOk);
+      EXPECT_GE(i % 5, 2) << "request " << i << " should have failed";
+      ++ok;
+    } catch (const std::exception&) {
+      ++failed;
+    }
+    EXPECT_FALSE(futures[i].valid());
+  }
+  // NaN rows never reached their session state; throws never ran scatter.
+  EXPECT_EQ(server.session(101).steps, 0);
+  EXPECT_EQ(server.session(100).steps, 0);
+
+  // Read right after the last future resolved: no sleep, no drain.
+  const serve::Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(stats.completed, ok);
+  EXPECT_EQ(stats.failed, failed);
+  EXPECT_GE(failed, static_cast<std::uint64_t>(2 * kRequests / 5));
+  EXPECT_EQ(stats.submitted, stats.completed + stats.shed + stats.rejected +
+                                 stats.timeouts + stats.failed);
+  EXPECT_EQ(stats.batched_rows, stats.completed + stats.failed);
 }
 
 TEST(ServeDegraded, WatermarkHysteresisSkipsTheFrameModel) {

@@ -23,7 +23,8 @@
 #                          100 sessions; a latency_ms export and sim/* +
 #                          serve/* metrics (docs/SIMULATION.md)
 #              http-smoke  examples/http_demo over real loopback TCP; its
-#                          /metrics body carries http/* and route/* rows
+#                          /metrics body carries the http/*, route/* and
+#                          serve/* serving counts
 #   sync-stress
 #            concurrency-correctness stress: Debug + ThreadSanitizer with
 #            DARNET_CHECKED=ON explicit, building only the lock-heavy
@@ -130,7 +131,7 @@ run_leg() {
 SMOKES=(
   "serve|serve_demo|@BIN@/examples/serve_demo|metrics.json:serve/"
   "sim-smoke|fleet_simulator|@BIN@/tools/sim/fleet_simulator --scenario=steady --sessions=100 --out=@OUT@/fleet.json|fleet.json:\"latency_ms\" metrics.json:sim/ metrics.json:serve/"
-  "http-smoke|http_demo|@BIN@/examples/http_demo|out.log:http/requests_total out.log:route/requests_routed_total"
+  "http-smoke|http_demo|@BIN@/examples/http_demo|out.log:http/requests_total out.log:route/requests_routed_total out.log:serve/requests_completed_total"
 )
 
 # Smoke legs: no ctest run -- build the row's target in one shared
